@@ -2,8 +2,13 @@
 //!
 //! A [`Fft`] instance precomputes the bit-reversal permutation and twiddle
 //! factors for a fixed power-of-two size, so repeated transforms of the same
-//! size (the common case in MASS, which transforms many queries against one
-//! series) pay the trigonometry cost once.
+//! size pay the trigonometry cost once.
+//!
+//! This scalar, interleaved transform is also the bit-for-bit reference of
+//! the lane-parallel split-plane kernel behind [`crate::RealFft`] (and so
+//! behind every sliding dot product): that kernel applies the same
+//! operations to every element, and the differential tests compare the
+//! two bit for bit at every SIMD dispatch level.
 
 use crate::Complex64;
 
@@ -50,16 +55,7 @@ impl Fft {
         for k in 0..half.max(1) {
             twiddles.push(Complex64::cis(step * k as f64));
         }
-        let bits = size.trailing_zeros();
-        let mut rev = vec![0u32; size];
-        for (i, r) in rev.iter_mut().enumerate() {
-            *r = (i as u32).reverse_bits() >> (32 - bits.max(1)) & ((size - 1) as u32);
-        }
-        // For size == 1 the shift above is meaningless; fix up explicitly.
-        if size == 1 {
-            rev[0] = 0;
-        }
-        Self { size, twiddles, rev }
+        Self { size, twiddles, rev: crate::split::bit_reversal(size) }
     }
 
     /// The transform length this plan was built for.

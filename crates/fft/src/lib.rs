@@ -8,8 +8,15 @@
 //! convolution. This crate provides everything required, from scratch:
 //!
 //! * [`Complex64`] — minimal complex arithmetic,
-//! * [`Fft`] — a planned, iterative radix-2 FFT (forward and inverse),
-//! * [`RealFft`] — real-input transforms at half-size complex cost,
+//! * [`Fft`] — a planned, iterative radix-2 FFT (forward and inverse) on
+//!   interleaved complex buffers: scalar, and the bit-for-bit reference
+//!   of the lane-parallel transform below,
+//! * [`RealFft`] — real-input transforms at half-size complex cost. The
+//!   half-size transform runs on split real/imaginary planes, so every
+//!   butterfly is lane-wise arithmetic on [`simd::F64Lanes`] at the width
+//!   [`simd::simd_level`] selects; pairs of radix-2 stages share one
+//!   memory pass, and a forward of a short (zero-padded) input skips the
+//!   stages that only copy values. Every output bit equals [`Fft`]'s,
 //! * [`convolve`] / [`convolve_naive`] — real linear convolution,
 //! * [`sliding_dot_product`] — the MASS primitive: all dot products of a
 //!   query with every window of a series.
@@ -33,11 +40,12 @@ mod fft;
 mod real;
 pub mod simd;
 mod sliding;
+mod split;
 
 pub use complex::Complex64;
 pub use convolve::{convolve, convolve_naive};
 pub use fft::Fft;
-pub use real::RealFft;
+pub use real::{PackedBuffer, RealFft};
 pub use sliding::{
     naive_is_faster, sliding_dot_product, sliding_dot_product_naive,
     sliding_dot_product_naive_into, SlidingDotPlan, SlidingDotScratch,

@@ -99,6 +99,9 @@ pub trait F64Lanes<const W: usize>: Copy {
     fn max(self, a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `if a < b { a } else { b }` (x86 `vminpd` semantics).
     fn min(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `-a`: a sign-bit flip, exact for every input (NaN
+    /// included), like scalar `-x`.
+    fn neg(self, a: Self::V) -> Self::V;
 
     /// Lane-wise `a < b` (quiet: false on NaN).
     fn lt(self, a: Self::V, b: Self::V) -> Self::M;
@@ -118,6 +121,9 @@ pub trait F64Lanes<const W: usize>: Copy {
     /// Lanes shifted down one place with `x` inserted at the top:
     /// `[v[1], …, v[W−1], x]`.
     fn shift_in_high(self, v: Self::V, x: f64) -> Self::V;
+
+    /// The lanes in reverse order, `[v[W−1], …, v[0]]` (exact bit move).
+    fn reverse(self, v: Self::V) -> Self::V;
 
     /// One-lane shift across a register pair viewed as `2W` lanes:
     /// `[lo[1], …, lo[W−1], hi[0]]` — the low half of `(lo, hi)` shifted
@@ -223,6 +229,10 @@ impl<const W: usize> F64Lanes<W> for Portable {
     fn min(self, a: Self::V, b: Self::V) -> Self::V {
         std::array::from_fn(|c| if a[c] < b[c] { a[c] } else { b[c] })
     }
+    #[inline(always)]
+    fn neg(self, a: Self::V) -> Self::V {
+        std::array::from_fn(|c| -a[c])
+    }
 
     #[inline(always)]
     fn lt(self, a: Self::V, b: Self::V) -> Self::M {
@@ -256,6 +266,10 @@ impl<const W: usize> F64Lanes<W> for Portable {
     #[inline(always)]
     fn shift_in_high(self, v: Self::V, x: f64) -> Self::V {
         std::array::from_fn(|c| if c + 1 < W { v[c + 1] } else { x })
+    }
+    #[inline(always)]
+    fn reverse(self, v: Self::V) -> Self::V {
+        std::array::from_fn(|c| v[W - 1 - c])
     }
 }
 
@@ -367,6 +381,11 @@ impl F64Lanes<4> for Avx2 {
         // SAFETY: see the impl-level comment.
         unsafe { core::arch::x86_64::_mm256_min_pd(a, b) }
     }
+    #[inline(always)]
+    fn neg(self, a: Self::V) -> Self::V {
+        // SAFETY: see the impl-level comment.
+        unsafe { core::arch::x86_64::_mm256_xor_pd(a, core::arch::x86_64::_mm256_set1_pd(-0.0)) }
+    }
 
     #[inline(always)]
     fn lt(self, a: Self::V, b: Self::V) -> Self::M {
@@ -418,6 +437,12 @@ impl F64Lanes<4> for Avx2 {
                 core::arch::x86_64::_mm256_set1_pd(x),
             )
         }
+    }
+
+    #[inline(always)]
+    fn reverse(self, v: Self::V) -> Self::V {
+        // SAFETY: see the impl-level comment.
+        unsafe { core::arch::x86_64::_mm256_permute4x64_pd::<0b00_01_10_11>(v) }
     }
 
     #[inline(always)]
@@ -579,6 +604,11 @@ impl F64Lanes<8> for Avx512 {
         // SAFETY: see the impl-level comment.
         unsafe { core::arch::x86_64::_mm512_min_pd(a, b) }
     }
+    #[inline(always)]
+    fn neg(self, a: Self::V) -> Self::V {
+        // SAFETY: see the impl-level comment.
+        unsafe { core::arch::x86_64::_mm512_xor_pd(a, core::arch::x86_64::_mm512_set1_pd(-0.0)) }
+    }
 
     #[inline(always)]
     fn lt(self, a: Self::V, b: Self::V) -> Self::M {
@@ -629,6 +659,15 @@ impl F64Lanes<8> for Avx512 {
             // Concat(insert, v) >> 64 bits · 1: lanes (v1..v7, x).
             let ins = _mm512_castpd_si512(_mm512_set1_pd(x));
             _mm512_castsi512_pd(_mm512_alignr_epi64::<1>(ins, _mm512_castpd_si512(v)))
+        }
+    }
+
+    #[inline(always)]
+    fn reverse(self, v: Self::V) -> Self::V {
+        // SAFETY: see the impl-level comment.
+        unsafe {
+            use core::arch::x86_64::{_mm512_permutexvar_pd, _mm512_set_epi64};
+            _mm512_permutexvar_pd(_mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7), v)
         }
     }
 
@@ -871,6 +910,66 @@ pub fn simd_level() -> SimdLevel {
     }
 }
 
+/// A lane-generic kernel body that [`dispatch`] instantiates at the width
+/// and backend [`simd_level`] selects.
+pub(crate) trait LaneKernel {
+    /// What the kernel returns.
+    type Output;
+    /// The kernel body at width `W` on backend `b`. Implementations mark it
+    /// `#[inline(always)]` so it compiles inside the `#[target_feature]`
+    /// wrapper of each packed backend.
+    fn run<const W: usize, B: F64Lanes<W>>(self, b: B) -> Self::Output;
+}
+
+/// Runs `kernel` at the level [`simd_level`] resolves, or on one portable
+/// lane when `len` (the elements the kernel walks) is below that level's
+/// width — the one dispatch seam of this crate's lane-generic kernels, so
+/// the override sweep of the differential tests reaches all of them.
+pub(crate) fn dispatch<K: LaneKernel>(kernel: K, len: usize) -> K::Output {
+    let level = simd_level();
+    if len < level.width() {
+        return kernel.run::<1, _>(Portable);
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            let b = Avx512::new().expect("dispatch verified AVX-512");
+            // SAFETY: the `Avx512` token proves the target features.
+            unsafe { run_avx512(b, kernel) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            let b = Avx2::new().expect("dispatch verified AVX2+FMA");
+            // SAFETY: the `Avx2` token proves the target features.
+            unsafe { run_avx2(b, kernel) }
+        }
+        SimdLevel::Portable8 => kernel.run::<8, _>(Portable),
+        _ => kernel.run::<4, _>(Portable),
+    }
+}
+
+/// [`LaneKernel::run`] at W=8 under AVX-512.
+///
+/// # Safety
+///
+/// The `Avx512` token proves the CPU supports AVX-512 F/DQ/VL (+AVX2+FMA).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+unsafe fn run_avx512<K: LaneKernel>(b: Avx512, kernel: K) -> K::Output {
+    kernel.run::<8, _>(b)
+}
+
+/// [`LaneKernel::run`] at W=4 under AVX2+FMA.
+///
+/// # Safety
+///
+/// The `Avx2` token proves the CPU supports AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<K: LaneKernel>(b: Avx2, kernel: K) -> K::Output {
+    kernel.run::<4, _>(b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,9 +991,15 @@ mod tests {
             x: [f64; W],
             c: [f64; W],
         ) {
+            // Opaque inputs: with constants visible, LLVM folds the
+            // portable side at compile time (e.g. `inf + -inf` to a NaN
+            // whose sign differs from the one the hardware produces), and
+            // the comparison would pit the optimizer against the CPU.
+            let (a, x, c) =
+                (std::hint::black_box(a), std::hint::black_box(x), std::hint::black_box(c));
             let (va, vx, vc) = (b.pack(a), b.pack(x), b.pack(c));
             let (pa, px, pc) = (p.pack(a), p.pack(x), p.pack(c));
-            let pairs: [([f64; W], [f64; W]); 8] = [
+            let pairs: [([f64; W], [f64; W]); 10] = [
                 (b.to_array(b.add(va, vx)), p.to_array(p.add(pa, px))),
                 (b.to_array(b.sub(va, vx)), p.to_array(p.sub(pa, px))),
                 (b.to_array(b.mul(va, vx)), p.to_array(p.mul(pa, px))),
@@ -903,6 +1008,8 @@ mod tests {
                 (b.to_array(b.mul_add(va, vx, vc)), p.to_array(p.mul_add(pa, px, pc))),
                 (b.to_array(b.max(va, vx)), p.to_array(p.max(pa, px))),
                 (b.to_array(b.min(va, vx)), p.to_array(p.min(pa, px))),
+                (b.to_array(b.neg(va)), p.to_array(p.neg(pa))),
+                (b.to_array(b.reverse(va)), p.to_array(p.reverse(pa))),
             ];
             for (op, (got, want)) in pairs.iter().enumerate() {
                 for l in 0..W {

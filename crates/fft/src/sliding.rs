@@ -7,7 +7,8 @@
 //! O(n·m); both inputs are real, so the transforms run on the half-size
 //! real-input path ([`crate::RealFft`]).
 
-use crate::{next_pow2, Complex64, RealFft};
+use crate::simd::{dispatch, F64Lanes, LaneKernel};
+use crate::{next_pow2, PackedBuffer, RealFft};
 
 /// Direct O(n·m) sliding dot product, used as a reference and for short
 /// queries where it beats the FFT path.
@@ -37,8 +38,7 @@ pub fn sliding_dot_product_naive(query: &[f64], series: &[f64]) -> Vec<f64> {
 /// operation per term, so the vectorized outputs are **byte-identical**
 /// to the scalar loop's at every width — the dispatch
 /// ([`crate::simd::simd_level`]) selects an instruction encoding, never a
-/// summation order. The portable levels take the scalar chain directly:
-/// at width 1 the "lanes" degenerate to it anyway.
+/// summation order.
 pub fn sliding_dot_product_naive_into(query: &[f64], series: &[f64], out: &mut Vec<f64>) {
     out.clear();
     let m = query.len();
@@ -47,34 +47,22 @@ pub fn sliding_dot_product_naive_into(query: &[f64], series: &[f64], out: &mut V
         return;
     }
     out.reserve(n - m + 1);
-    match crate::simd::simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdLevel::Avx512 => {
-            let b = crate::simd::Avx512::new().expect("dispatch verified AVX-512");
-            // SAFETY: the `Avx512` token proves the target features.
-            unsafe { naive_into_avx512(b, query, series, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdLevel::Avx2 => {
-            let b = crate::simd::Avx2::new().expect("dispatch verified AVX2+FMA");
-            // SAFETY: the `Avx2` token proves the target features.
-            unsafe { naive_into_avx2(b, query, series, out) }
-        }
-        _ => naive_into_scalar(query, series, out),
-    }
+    dispatch(NaiveDot { query, series, out }, n - m + 1);
 }
 
-/// The portable naive kernel: one chained fused multiply-add per term.
-fn naive_into_scalar(query: &[f64], series: &[f64], out: &mut Vec<f64>) {
-    let m = query.len();
-    let n = series.len();
-    for i in 0..=n - m {
-        let window = &series[i..i + m];
-        let mut acc = 0.0;
-        for (q, w) in query.iter().zip(window) {
-            acc = q.mul_add(*w, acc);
-        }
-        out.push(acc);
+/// The naive kernel as a dispatchable kernel.
+struct NaiveDot<'a> {
+    query: &'a [f64],
+    series: &'a [f64],
+    out: &'a mut Vec<f64>,
+}
+
+impl LaneKernel for NaiveDot<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<const W: usize, B: F64Lanes<W>>(self, b: B) {
+        naive_into_lanes::<W, B>(b, self.query, self.series, self.out);
     }
 }
 
@@ -82,11 +70,8 @@ fn naive_into_scalar(query: &[f64], series: &[f64], out: &mut Vec<f64>) {
 /// iteration (two accumulators to hide FMA latency), each lane running
 /// the scalar accumulation chain verbatim (see
 /// [`sliding_dot_product_naive_into`] for the bit-identity argument).
-/// Instantiated inside a `#[target_feature]` wrapper per packed backend
-/// so the `#[inline(always)]` lane ops compile to bare vector
-/// instructions.
 #[inline(always)]
-fn naive_into_lanes<const W: usize, B: crate::simd::F64Lanes<W>>(
+fn naive_into_lanes<const W: usize, B: F64Lanes<W>>(
     b: B,
     query: &[f64],
     series: &[f64],
@@ -127,33 +112,6 @@ fn naive_into_lanes<const W: usize, B: crate::simd::F64Lanes<W>>(
     }
 }
 
-/// [`naive_into_lanes`] at W=4 under AVX2+FMA (8 outputs per iteration).
-///
-/// # Safety
-///
-/// The `Avx2` token proves the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn naive_into_avx2(b: crate::simd::Avx2, query: &[f64], series: &[f64], out: &mut Vec<f64>) {
-    naive_into_lanes::<4, _>(b, query, series, out);
-}
-
-/// [`naive_into_lanes`] at W=8 under AVX-512 (16 outputs per iteration).
-///
-/// # Safety
-///
-/// The `Avx512` token proves the CPU supports AVX-512 F/DQ/VL (+AVX2+FMA).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
-unsafe fn naive_into_avx512(
-    b: crate::simd::Avx512,
-    query: &[f64],
-    series: &[f64],
-    out: &mut Vec<f64>,
-) {
-    naive_into_lanes::<8, _>(b, query, series, out);
-}
-
 /// Cost-model dispatch between the naive and FFT sliding-dot paths.
 ///
 /// `transforms` is how many size-`S` transforms the FFT path pays: 3 for a
@@ -163,6 +121,16 @@ unsafe fn naive_into_avx512(
 /// path costs ~`S·log2(S)` butterfly-equivalents per transform with
 /// `S = next_pow2(2n)`. Short queries always go naive: their inner loop
 /// vectorizes and has no setup cost.
+///
+/// # Bit contract
+///
+/// The cutoff is part of every caller's output bits, not only of its
+/// speed: the naive and FFT paths round differently, so moving a query
+/// length across it changes the dot products, then the distances, and
+/// with them the pinned result checksums. Routing the ℓ = 80 rows of a
+/// 30k-point ECG series to the naive path, for instance, changes a
+/// benchmark series' pinned checksum. Do not retune it for speed; a move
+/// is a change of results.
 #[must_use]
 pub fn naive_is_faster(m: usize, n: usize, transforms: u32) -> bool {
     if m == 0 || m > n || m <= 32 {
@@ -196,11 +164,17 @@ pub fn sliding_dot_product(query: &[f64], series: &[f64]) -> Vec<f64> {
 /// queries (as in STAMP, or VALMOD's per-row recomputation) each cost one
 /// forward and one inverse half-size transform instead of two full complex
 /// forward ones.
+///
+/// A query of `m` samples fills `⌈m/2⌉` of the forward transform's `N/2`
+/// slots, so its forward skips the stages a sparse input does not need
+/// (see [`RealFft`]). Output bits equal the scalar [`crate::Fft`]
+/// formulation at every SIMD dispatch level.
 #[derive(Debug, Clone)]
 pub struct SlidingDotPlan {
     rfft: RealFft,
-    /// Forward half-spectrum of the (zero-padded) series.
-    series_spectrum: Vec<Complex64>,
+    /// Forward half-spectrum of the (zero-padded) series, split planes.
+    series_re: Vec<f64>,
+    series_im: Vec<f64>,
     series_len: usize,
 }
 
@@ -208,12 +182,10 @@ pub struct SlidingDotPlan {
 /// thread; create with [`SlidingDotPlan::scratch`].
 #[derive(Debug, Clone)]
 pub struct SlidingDotScratch {
-    /// Packed half-size signal (FFT working buffer).
-    packed: Vec<Complex64>,
-    /// Query spectrum, overwritten by the product spectrum.
-    spectrum: Vec<Complex64>,
-    /// Full-length correlation in the time domain.
-    time: Vec<f64>,
+    /// The query's packed transform, then the correlation.
+    packed: PackedBuffer,
+    /// The correlation spectrum, before the inverse transform.
+    spectrum: PackedBuffer,
 }
 
 impl SlidingDotPlan {
@@ -228,7 +200,8 @@ impl SlidingDotPlan {
         let mut packed = rfft.packed_buffer();
         let mut spectrum = rfft.spectrum_buffer();
         rfft.forward(series, &mut packed, &mut spectrum);
-        Self { rfft, series_spectrum: spectrum, series_len: n }
+        let (series_re, series_im) = spectrum.iter().map(|z| (z.re, z.im)).unzip();
+        Self { rfft, series_re, series_im, series_len: n }
     }
 
     /// Length of the series this plan was built for.
@@ -241,11 +214,7 @@ impl SlidingDotPlan {
     /// Allocates scratch buffers sized for this plan.
     #[must_use]
     pub fn scratch(&self) -> SlidingDotScratch {
-        SlidingDotScratch {
-            packed: self.rfft.packed_buffer(),
-            spectrum: self.rfft.spectrum_buffer(),
-            time: vec![0.0; self.rfft.size()],
-        }
+        SlidingDotScratch { packed: self.rfft.packed_buffer(), spectrum: self.rfft.packed_buffer() }
     }
 
     /// Sliding dot product of `query` against the planned series.
@@ -278,18 +247,18 @@ impl SlidingDotPlan {
         if m == 0 || m > n {
             return;
         }
-        self.rfft.forward(query, &mut scratch.packed, &mut scratch.spectrum);
-        for (q, s) in scratch.spectrum.iter_mut().zip(&self.series_spectrum) {
-            *q = q.conj() * *s;
-        }
-        self.rfft.inverse(&scratch.spectrum, &mut scratch.packed, &mut scratch.time);
-        out.extend_from_slice(&scratch.time[..=n - m]);
+        let SlidingDotScratch { packed, spectrum } = scratch;
+        self.rfft.pack_transform(query, packed);
+        self.rfft.correlate(packed, &self.series_re, &self.series_im, spectrum);
+        out.resize(n - m + 1, 0.0);
+        self.rfft.unpack(packed, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::{naive_is_faster, sliding_dot_product, sliding_dot_product_naive, SlidingDotPlan};
+    use crate::next_pow2;
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -376,21 +345,14 @@ mod tests {
 
     #[test]
     fn vectorized_naive_is_byte_identical_to_scalar() {
-        // Every packed width's lanes each run the scalar accumulation
-        // chain verbatim, so every output must match the portable kernel
-        // bit for bit — including ragged tails (outputs % 2W ≠ 0) and
-        // queries spanning the whole series. The override sweeps the
-        // dispatch levels in-process; levels the CPU cannot encode fall
-        // back to the portable stand-in and the case degenerates to a
-        // self-check.
-        use crate::simd::{override_simd, LaneWidth, SimdOverride};
-        let overrides = [
-            SimdOverride { portable: true, width: None },
-            SimdOverride { portable: false, width: Some(LaneWidth::W4) },
-            SimdOverride { portable: false, width: Some(LaneWidth::W8) },
-        ];
-        for forced in overrides {
-            let _g = override_simd(forced);
+        // Every width's lanes each run the scalar accumulation chain
+        // verbatim, so every output must match the scalar chain bit for
+        // bit — including ragged tails (outputs % 2W ≠ 0) and queries
+        // spanning the whole series. The override sweeps the dispatch
+        // levels in-process; levels the CPU cannot encode fall back to
+        // the portable lanes at the same width.
+        for forced in crate::real::reference::LEVELS {
+            let _g = crate::simd::override_simd(forced);
             for n in [9usize, 64, 257, 1000] {
                 let series = pseudo_series(n);
                 for m in [1usize, 2, 7, 33, 80, n] {
@@ -398,8 +360,10 @@ mod tests {
                         continue;
                     }
                     let query: Vec<f64> = series[(n - m) / 2..(n - m) / 2 + m].to_vec();
-                    let mut scalar = Vec::new();
-                    super::naive_into_scalar(&query, &series, &mut scalar);
+                    let scalar: Vec<f64> = series
+                        .windows(m)
+                        .map(|w| query.iter().zip(w).fold(0.0, |acc, (q, x)| q.mul_add(*x, acc)))
+                        .collect();
                     let dispatched = super::sliding_dot_product_naive(&query, &series);
                     assert_eq!(scalar.len(), dispatched.len());
                     for (i, (a, b)) in scalar.iter().zip(&dispatched).enumerate() {
@@ -407,6 +371,49 @@ mod tests {
                             a.to_bits(),
                             b.to_bits(),
                             "lane output diverged at {forced:?} n={n} m={m} i={i}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fft_dot_is_bit_identical_to_scalar_fft_path() {
+        // `dot_into` (sparse query forward, fused untangle-product-retangle
+        // pass, split-plane inverse) against the scalar interleaved `Fft`
+        // formulation of the same cross-correlation, at every dispatch
+        // level. The last query carries a `−0.0`, which must route the
+        // forward through the full transform.
+        use crate::real::reference;
+        for level in reference::LEVELS {
+            let _g = crate::simd::override_simd(level);
+            for n in [700usize, 4096, 30_000] {
+                let series = pseudo_series(n);
+                let plan = SlidingDotPlan::new(&series);
+                let size = next_pow2(2 * n);
+                let series_spectrum = reference::forward(&series, size);
+                let mut scratch = plan.scratch();
+                let mut out = Vec::new();
+                for m in [33usize, 64, 80, 400] {
+                    let start = (n - m) / 3;
+                    let mut query = series[start..start + m].to_vec();
+                    if m == 400 {
+                        query[7] = -0.0;
+                    }
+                    plan.dot_into(&query, &mut scratch, &mut out);
+                    let product: Vec<_> = reference::forward(&query, size)
+                        .iter()
+                        .zip(&series_spectrum)
+                        .map(|(q, s)| q.conj() * *s)
+                        .collect();
+                    let want = reference::inverse(&product, size);
+                    assert_eq!(out.len(), n - m + 1);
+                    for (i, (a, b)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{level:?} n={n} m={m} i={i}: {a} vs {b}"
                         );
                     }
                 }

@@ -6,6 +6,8 @@
 //! for O(n log n) total — the primitive behind STAMP and behind VALMOD's
 //! recomputation fallback.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use valmod_fft::{
     naive_is_faster, sliding_dot_product_naive, sliding_dot_product_naive_into, SlidingDotPlan,
     SlidingDotScratch,
@@ -26,6 +28,14 @@ pub struct ProfileScratch {
     dots: Option<SlidingDotScratch>,
     qt: Vec<f64>,
     profile: Vec<f64>,
+    /// The window means and standard deviations of the profiler and
+    /// length in `stats_key` (`(profiler id, l)`; `None`: nothing yet), so
+    /// rows of one length pay the division and square root per window
+    /// once. They are the profiler's own `mean`/`std` calls, so the same
+    /// bits.
+    stats_key: Option<(u64, usize)>,
+    means: Vec<f64>,
+    stds: Vec<f64>,
 }
 
 /// Reusable distance-profile engine for one series.
@@ -49,6 +59,9 @@ pub struct DistanceProfiler {
     values: Vec<f64>,
     plan: SlidingDotPlan,
     stats: RollingStats,
+    /// Process-unique, so a [`ProfileScratch`] handed to another profiler
+    /// never serves it this one's window statistics.
+    id: u64,
 }
 
 impl DistanceProfiler {
@@ -63,7 +76,9 @@ impl DistanceProfiler {
         let values = shifted(series);
         let plan = SlidingDotPlan::new(&values);
         let stats = RollingStats::new(&values);
-        Ok(Self { values, plan, stats })
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        Ok(Self { values, plan, stats, id })
     }
 
     /// Length of the underlying series.
@@ -82,7 +97,14 @@ impl DistanceProfiler {
     /// [`Self::self_profile_into`]. One instance per thread.
     #[must_use]
     pub fn scratch(&self) -> ProfileScratch {
-        ProfileScratch { dots: None, qt: Vec::new(), profile: Vec::new() }
+        ProfileScratch {
+            dots: None,
+            qt: Vec::new(),
+            profile: Vec::new(),
+            stats_key: None,
+            means: Vec::new(),
+            stds: Vec::new(),
+        }
     }
 
     /// Distance profile of the series' own subsequence `(offset, l)`
@@ -134,9 +156,22 @@ impl DistanceProfiler {
             let dots = scratch.dots.get_or_insert_with(|| self.plan.scratch());
             self.plan.dot_into(query, dots, &mut scratch.qt);
         }
-        let mu_q = self.stats.mean(offset, l);
-        let sig_q = self.stats.std(offset, l);
-        self.profile_from_dots_into(&scratch.qt, l, mu_q, sig_q, &mut scratch.profile);
+        if scratch.stats_key != Some((self.id, l)) {
+            let windows = 0..=self.values.len() - l;
+            scratch.means.clear();
+            scratch.means.extend(windows.clone().map(|j| self.stats.mean(j, l)));
+            scratch.stds.clear();
+            scratch.stds.extend(windows.map(|j| self.stats.std(j, l)));
+            scratch.stats_key = Some((self.id, l));
+        }
+        let (mu_q, sig_q) = (scratch.means[offset], scratch.stds[offset]);
+        profile_from_dots_into(
+            &scratch.qt,
+            l,
+            (mu_q, sig_q),
+            (&scratch.means, &scratch.stds),
+            &mut scratch.profile,
+        );
         Ok(&scratch.profile)
     }
 
@@ -165,29 +200,29 @@ impl DistanceProfiler {
         };
         let mu_q = query.iter().sum::<f64>() / l as f64;
         let var_q = query.iter().map(|x| (x - mu_q) * (x - mu_q)).sum::<f64>() / l as f64;
-        Ok(self.profile_from_dots(&qt, l, mu_q, var_q.sqrt()))
-    }
-
-    fn profile_from_dots(&self, qt: &[f64], l: usize, mu_q: f64, sig_q: f64) -> Vec<f64> {
+        let windows = (&self.stats.means_for_length(l)[..], &self.stats.stds_for_length(l)[..]);
         let mut out = Vec::new();
-        self.profile_from_dots_into(qt, l, mu_q, sig_q, &mut out);
-        out
+        profile_from_dots_into(&qt, l, (mu_q, var_q.sqrt()), windows, &mut out);
+        Ok(out)
     }
+}
 
-    fn profile_from_dots_into(
-        &self,
-        qt: &[f64],
-        l: usize,
-        mu_q: f64,
-        sig_q: f64,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.reserve(qt.len());
-        out.extend(qt.iter().enumerate().map(|(j, &dot)| {
-            zdist_from_dot(dot, l, mu_q, sig_q, self.stats.mean(j, l), self.stats.std(j, l))
-        }));
-    }
+/// The z-normalized distances from a query, with mean and standard
+/// deviation `(mu_q, sig_q)` and sliding dots `qt`, to every window, with
+/// means and standard deviations `(means, stds)`.
+fn profile_from_dots_into(
+    qt: &[f64],
+    l: usize,
+    (mu_q, sig_q): (f64, f64),
+    (means, stds): (&[f64], &[f64]),
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.extend(
+        qt.iter()
+            .zip(means.iter().zip(stds))
+            .map(|(&dot, (&mu, &sig))| zdist_from_dot(dot, l, mu_q, sig_q, mu, sig)),
+    );
 }
 
 /// Brute-force distance profile used as the correctness reference: directly
@@ -287,7 +322,8 @@ mod tests {
         let series = gen::random_walk(600, 21);
         let profiler = DistanceProfiler::new(&series).unwrap();
         let mut scratch = profiler.scratch();
-        for &(offset, l) in &[(0usize, 16usize), (123, 64), (250, 300), (0, 450)] {
+        for &(offset, l) in &[(0usize, 16usize), (123, 64), (250, 300), (0, 450), (40, 64), (3, 64)]
+        {
             let fast = profiler.self_profile_into(offset, l, &mut scratch).unwrap().to_vec();
             let slow = profiler.self_profile(offset, l).unwrap();
             assert_eq!(fast.len(), slow.len());
@@ -296,6 +332,12 @@ mod tests {
             }
         }
         assert!(profiler.self_profile_into(595, 16, &mut scratch).is_err());
+        // Handed to another profiler of the same series length, the
+        // scratch must not serve the first one's window statistics.
+        let other = DistanceProfiler::new(&gen::random_walk(600, 22)).unwrap();
+        let shared = other.self_profile_into(40, 64, &mut scratch).unwrap().to_vec();
+        let fresh = other.self_profile(40, 64).unwrap();
+        assert!(shared.iter().zip(&fresh).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
