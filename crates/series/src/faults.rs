@@ -8,12 +8,20 @@
 //! stable site name, and an armed [`FaultPlan`] decides which operation
 //! fails, with what error, and whether a write is torn short first.
 //!
-//! Arming follows the same precedence style as `valmod_fft`'s
-//! `override_simd`: an in-process RAII guard ([`arm`], serialized across
-//! threads by holding a lock for the guard's lifetime), or the
-//! `VALMOD_FAULT` environment variable (`site:after:times:kind`, parsed
-//! once per process — the cross-process knob for CLI integration tests).
-//! With neither armed, every site is a single relaxed atomic load.
+//! Plans are armed two ways:
+//!
+//! * an in-process RAII guard ([`arm`]) installs a **thread-scoped**
+//!   plan: only I/O issued by the arming thread counts against it or
+//!   fails, so tests running concurrently in one process never see each
+//!   other's plans (the persistence I/O sites run on the caller's
+//!   thread). The guard is `!Send` — it must be dropped on the thread
+//!   whose plan it holds;
+//! * the `VALMOD_FAULT` environment variable (`site:after:times:kind`,
+//!   parsed once per process) installs one **process-wide** plan — the
+//!   cross-process knob for CLI integration tests. A thread with its own
+//!   armed plan uses that plan instead.
+//!
+//! With neither armed, every site is two relaxed atomic loads.
 //!
 //! The same guard doubles as the *enumerator* for kill-at-every-point
 //! tests: arm a plan whose `after` is `u64::MAX` (it never fires), run
@@ -25,8 +33,10 @@
 
 #![doc(hidden)]
 
+use std::cell::RefCell;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// What happens when the planned operation count is reached.
@@ -85,16 +95,20 @@ impl FaultPlan {
     }
 }
 
-/// Whether any plan (guard or env) may be active — the fast-path gate
-/// every instrumented site reads first.
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// Number of live [`FaultGuard`]s across all threads — with
+/// [`ENV_ARMED`], the fast-path gate every instrumented site reads first.
+static GUARDS: AtomicUsize = AtomicUsize::new(0);
 
-/// The active plan and its match counter.
-static STATE: Mutex<Option<PlanState>> = Mutex::new(None);
+/// Whether the `VALMOD_FAULT` plan is installed.
+static ENV_ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Serializes armed sections across test threads, like
-/// `SimdOverrideGuard` does for dispatch overrides.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
+/// The process-wide `VALMOD_FAULT` plan and its match counter.
+static ENV_STATE: Mutex<Option<PlanState>> = Mutex::new(None);
+
+thread_local! {
+    /// This thread's armed plan, if any (see [`arm`]).
+    static LOCAL: RefCell<Option<PlanState>> = const { RefCell::new(None) };
+}
 
 #[derive(Debug)]
 struct PlanState {
@@ -102,41 +116,44 @@ struct PlanState {
     seen: u64,
 }
 
-/// Keeps the installed plan alive; restores the previous state (usually
-/// "nothing armed") on drop. [`FaultGuard::hits`] reads the number of
-/// matching operations observed so far.
+/// Keeps this thread's plan installed; restores the thread's previous
+/// plan (usually none) on drop. [`FaultGuard::hits`] reads the number of
+/// matching operations observed so far. Not `Send`: the plan lives in
+/// the arming thread's local state.
 #[derive(Debug)]
 pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<PlanState>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl FaultGuard {
-    /// Matching operations observed since arming.
+    /// Matching operations this thread issued since arming.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        lock_state().as_ref().map_or(0, |s| s.seen)
+        LOCAL.with_borrow(|local| local.as_ref().map_or(0, |s| s.seen))
     }
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        *lock_state() = env_plan().clone().map(|plan| PlanState { plan, seen: 0 });
-        ARMED.store(env_plan().is_some(), Ordering::SeqCst);
+        let prev = self.prev.take();
+        LOCAL.with_borrow_mut(|local| *local = prev);
+        GUARDS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn lock_state() -> MutexGuard<'static, Option<PlanState>> {
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_env() -> MutexGuard<'static, Option<PlanState>> {
+    ENV_STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Installs `plan` for the guard's lifetime. Guards are exclusive: a
-/// second `arm` on another thread blocks until the first is dropped.
+/// Installs `plan` for the calling thread, for the guard's lifetime.
+/// Other threads are unaffected; a nested `arm` on the same thread
+/// replaces the plan until its own guard drops.
 #[must_use]
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    *lock_state() = Some(PlanState { plan, seen: 0 });
-    ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _lock: lock }
+    let prev = LOCAL.with_borrow_mut(|local| local.replace(PlanState { plan, seen: 0 }));
+    GUARDS.fetch_add(1, Ordering::SeqCst);
+    FaultGuard { prev, _thread_bound: PhantomData }
 }
 
 /// The `VALMOD_FAULT` plan, parsed once per process.
@@ -180,8 +197,8 @@ fn ensure_env_installed() {
     static INSTALLED: OnceLock<()> = OnceLock::new();
     INSTALLED.get_or_init(|| {
         if let Some(plan) = env_plan().clone() {
-            *lock_state() = Some(PlanState { plan, seen: 0 });
-            ARMED.store(true, Ordering::SeqCst);
+            *lock_env() = Some(PlanState { plan, seen: 0 });
+            ENV_ARMED.store(true, Ordering::SeqCst);
         }
     });
 }
@@ -195,28 +212,39 @@ enum Decision {
 
 fn decide(site: &str) -> Decision {
     ensure_env_installed();
-    if !ARMED.load(Ordering::Relaxed) {
+    // Relaxed suffices: a thread only consults its own local plan, and
+    // its own `arm` increment precedes these loads in program order.
+    if GUARDS.load(Ordering::Relaxed) == 0 && !ENV_ARMED.load(Ordering::Relaxed) {
         return Decision::Pass;
     }
-    let mut state = lock_state();
-    let Some(s) = state.as_mut() else { return Decision::Pass };
-    if let Some(prefix) = &s.plan.site {
-        if !site.starts_with(prefix.as_str()) {
+    let local = LOCAL.with_borrow_mut(|local| local.as_mut().map(|s| s.step(site)));
+    match local {
+        Some(decision) => decision,
+        None => lock_env().as_mut().map_or(Decision::Pass, |s| s.step(site)),
+    }
+}
+
+impl PlanState {
+    /// Counts one operation at `site` against the plan and decides it.
+    fn step(&mut self, site: &str) -> Decision {
+        if let Some(prefix) = &self.plan.site {
+            if !site.starts_with(prefix.as_str()) {
+                return Decision::Pass;
+            }
+        }
+        let index = self.seen;
+        self.seen += 1;
+        let fired = index >= self.plan.after && index - self.plan.after < self.plan.times;
+        if !fired {
             return Decision::Pass;
         }
-    }
-    let index = s.seen;
-    s.seen += 1;
-    let fired = index >= s.plan.after && index - s.plan.after < s.plan.times;
-    if !fired {
-        return Decision::Pass;
-    }
-    match s.plan.kind {
-        FaultKind::Err(kind) => Decision::Fail(kind),
-        // Only the first triggered operation is torn; everything later
-        // is dead (the crash that followed the torn write).
-        FaultKind::ShortWrite(n) if index == s.plan.after => Decision::Clip(n),
-        FaultKind::ShortWrite(_) => Decision::Fail(io::ErrorKind::Other),
+        match self.plan.kind {
+            FaultKind::Err(kind) => Decision::Fail(kind),
+            // Only the first triggered operation is torn; everything
+            // later is dead (the crash that followed the torn write).
+            FaultKind::ShortWrite(n) if index == self.plan.after => Decision::Clip(n),
+            FaultKind::ShortWrite(_) => Decision::Fail(io::ErrorKind::Other),
+        }
     }
 }
 
@@ -341,6 +369,32 @@ mod tests {
         }
         assert!(check("ckpt.write").is_ok());
         assert_eq!(g.hits(), 5);
+    }
+
+    #[test]
+    fn plans_are_scoped_to_the_arming_thread() {
+        let g = arm(FaultPlan::crash_at(None, 0));
+        let other = std::thread::spawn(|| {
+            let mut out = Vec::new();
+            write_all(&mut out, "ckpt.write", b"abc").map(|()| out)
+        });
+        assert_eq!(other.join().unwrap().unwrap(), b"abc", "another thread is never faulted");
+        assert!(check("ckpt.sync").is_err(), "the arming thread is");
+        assert_eq!(g.hits(), 1, "the other thread's operation was not counted");
+        drop(g);
+        assert!(check("ckpt.sync").is_ok(), "dropping the guard disarms the thread");
+    }
+
+    #[test]
+    fn nested_guards_restore_the_outer_plan() {
+        let outer = arm(FaultPlan::observe(Some("journal")));
+        assert!(check("journal.write").is_ok());
+        {
+            let _inner = arm(FaultPlan::crash_at(None, 0));
+            assert!(check("journal.write").is_err());
+        }
+        assert!(check("journal.write").is_ok());
+        assert_eq!(outer.hits(), 2, "the outer count resumes where it stopped");
     }
 
     #[test]

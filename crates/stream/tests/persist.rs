@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use valmod_core::testkit::{force_level, output_checksum, test_levels};
 use valmod_core::ValmodConfig;
@@ -362,4 +363,62 @@ fn recovering_under_a_different_config_is_a_hard_error() {
     let rec = store.recover(&threaded).unwrap().unwrap();
     assert_eq!(rec.engine.len(), N);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Fault plans are scoped to the arming thread: an unarmed durable run
+/// on another thread, made to run start to finish while a crash plan is
+/// armed, neither dies from the plan nor consumes its operation count,
+/// and the armed run then crashes exactly as it does alone.
+#[test]
+fn an_armed_plan_never_reaches_a_concurrent_unarmed_run() {
+    let series = stressed_series(17);
+    let config = config_with_threads(2);
+    let total = {
+        let dir = fresh_dir("scoped-count");
+        let guard = faults::arm(FaultPlan::observe(None));
+        durable_run(&dir, &series, &config).unwrap();
+        let total = guard.hits();
+        drop(guard);
+        std::fs::remove_dir_all(&dir).unwrap();
+        total
+    };
+    // Runs a crash-at-`k` pipeline; `during_arm` runs after the plan is
+    // armed and before this thread issues any I/O.
+    let crash_run = |k: u64, during_arm: &dyn Fn()| {
+        let dir = fresh_dir("scoped-armed");
+        let guard = faults::arm(FaultPlan::crash_at(None, k));
+        during_arm();
+        let crashed = durable_run(&dir, &series, &config).is_err();
+        let hits = guard.hits();
+        drop(guard);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (crashed, hits)
+    };
+    for k in [0, total / 2, total - 1] {
+        let alone = crash_run(k, &|| {});
+        assert!(alone.0, "crash at op {k}: the armed run did not abort");
+        let armed_now = Barrier::new(2);
+        let unarmed_done = Barrier::new(2);
+        let (armed, unarmed) = std::thread::scope(|s| {
+            let armed = s.spawn(|| {
+                crash_run(k, &|| {
+                    armed_now.wait();
+                    unarmed_done.wait();
+                })
+            });
+            let unarmed = s.spawn(|| {
+                armed_now.wait();
+                let dir = fresh_dir("scoped-unarmed");
+                let ok = durable_run(&dir, &series, &config).is_ok();
+                // No panic before the second barrier: the armed thread
+                // is waiting on it.
+                let _ = std::fs::remove_dir_all(&dir);
+                unarmed_done.wait();
+                ok
+            });
+            (armed.join().unwrap(), unarmed.join().unwrap())
+        });
+        assert!(unarmed, "crash at op {k}: the unarmed run was faulted");
+        assert_eq!(armed, alone, "crash at op {k}: the plan saw the other thread's I/O");
+    }
 }

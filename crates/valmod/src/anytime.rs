@@ -22,6 +22,29 @@
 //! tail — so once every block retires, the output bits equal the eager
 //! walk's for every seed, budget, SIMD lane width, and worker count
 //! (pinned by the `anytime_settles_to_exact` proptest).
+//!
+//! # Warm rounds
+//!
+//! Each round's workers start from the merged accumulator of the rounds
+//! before, not from scratch: their selector thresholds (kept as a floor
+//! the cached thresholds never drop below) and their y-space best bounds
+//! are seeded from it, so a round skips the offers and best folds the
+//! merged state already rejects. This is exact after *every* round, not
+//! only the last:
+//!
+//! * an offer with `ρ` strictly below the merged threshold ranks below
+//!   the `p` entries the accumulator keeps, so it cannot enter the
+//!   merged top-`p` — and it is still counted through
+//!   `count_rejected`, so the offered count and truncation flag match;
+//! * a cell whose distance is above the merged best cannot win the
+//!   lexicographic "(d asc, j asc)" min, while every equal distance
+//!   still reaches the fold.
+//!
+//! So `acc.absorb(part)` yields the same state for a warm part as for a
+//! cold one, and every preview is bit-identical to what cold rounds
+//! would show. The round's blocks are split across workers into
+//! contiguous runs balanced by cell count, the same rule that splits the
+//! shuffled list into rounds.
 
 use valmod_mp::stomp::StompEngine;
 use valmod_mp::MatrixProfile;
@@ -105,23 +128,24 @@ fn block_cells(k0: usize, tile: usize, m: usize) -> u64 {
     (k0..(k0 + tile).min(m)).map(|k| (m - k) as u64).sum()
 }
 
-/// Splits the shuffled block list into at most `budget` rounds balanced
-/// by *cell* count (blocks near the diagonal's start carry far more
-/// cells), so the first preview lands after ≈ `1/budget` of the work
-/// regardless of where the shuffle put the heavy blocks.
-fn split_rounds(blocks: &[usize], tile: usize, m: usize, budget: usize) -> Vec<Vec<usize>> {
+/// Splits a block list, order kept, into at most `parts` contiguous
+/// runs balanced by *cell* count (blocks near the diagonal's start carry
+/// far more cells). It cuts the shuffled list into rounds, so the first
+/// preview lands after ≈ `1/budget` of the work wherever the shuffle put
+/// the heavy blocks, and each round into its workers' shares.
+fn split_by_cells(blocks: &[usize], tile: usize, m: usize, parts: usize) -> Vec<Vec<usize>> {
     let total: u64 = blocks.iter().map(|&k0| block_cells(k0, tile, m)).sum();
-    let rounds = budget.min(blocks.len()).max(1) as u64;
+    let parts = parts.min(blocks.len()).max(1) as u64;
     let mut out: Vec<Vec<usize>> = Vec::new();
     let mut cur: Vec<usize> = Vec::new();
     let mut retired: u64 = 0;
     for &k0 in blocks {
         cur.push(k0);
         retired += block_cells(k0, tile, m);
-        // Close the round once the cumulative cell count crosses the
-        // next 1/rounds boundary (the final round takes the remainder).
+        // Close the run once the cumulative cell count crosses the next
+        // 1/parts boundary (the final run takes the remainder).
         let r = out.len() as u64 + 1;
-        if r < rounds && retired * rounds >= total * r {
+        if r < parts && retired * parts >= total * r {
             out.push(std::mem::take(&mut cur));
         }
     }
@@ -220,7 +244,7 @@ pub(crate) fn stage_one_anytime(
     let tile = 2 * level.width();
     let mut blocks: Vec<usize> = (first_diag..m).step_by(tile).collect();
     shuffle(&mut blocks, config.seed);
-    let rounds = split_rounds(&blocks, tile, m, budget);
+    let rounds = split_by_cells(&blocks, tile, m, budget);
     let cells_total: u64 = blocks.iter().map(|&k0| block_cells(k0, tile, m)).sum();
 
     let num_workers = stage1_worker_count(config, m, first_diag);
@@ -231,15 +255,22 @@ pub(crate) fn stage_one_anytime(
     let mut prev_valmap: Option<Valmap> = None;
     let total_rounds = rounds.len();
     for (r, round_blocks) in rounds.iter().enumerate() {
-        let workers = num_workers.min(round_blocks.len()).max(1);
-        let parts = config.pool().run(workers, |w| {
-            // Strided claim of the round's shuffled list: any split of
-            // the blocks across workers merges to the same state.
-            let mine: Vec<usize> = round_blocks.iter().skip(w).step_by(workers).copied().collect();
+        // Each worker claims a contiguous, cell-balanced run of the
+        // round's shuffled list and starts warm from the rounds before:
+        // any split, warm or cold, merges to the same state (see the
+        // module docs).
+        let shares = split_by_cells(round_blocks, tile, m, num_workers);
+        let parts = config.pool().run(shares.len(), |w| {
             if has_flat {
-                flat_listed_worker(engine, config, &mine, tile)
+                flat_listed_worker(engine, config, &shares[w], tile)
             } else {
-                kernel::stage1_walk_listed(engine, &mine, config.profile_size, level)
+                kernel::stage1_walk_listed(
+                    engine,
+                    &shares[w],
+                    config.profile_size,
+                    level,
+                    Some(&acc),
+                )
             }
         });
         for part in &parts {
@@ -300,7 +331,7 @@ mod tests {
         shuffle(&mut blocks, 7);
         let total: u64 = blocks.iter().map(|&k0| block_cells(k0, tile, m)).sum();
         for budget in [1usize, 2, 4, 9, 1000] {
-            let rounds = split_rounds(&blocks, tile, m, budget);
+            let rounds = split_by_cells(&blocks, tile, m, budget);
             assert!(rounds.len() <= budget.min(blocks.len()));
             let mut flat: Vec<usize> = rounds.iter().flatten().copied().collect();
             assert_eq!(flat, blocks, "rounds keep the shuffled order");

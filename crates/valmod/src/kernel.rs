@@ -24,36 +24,48 @@
 //!
 //! Stage 1 walks every diagonal of the QT matrix at `ℓmin`, and per cell
 //! does one fused multiply-add (the dot-product recurrence), one
-//! correlation/distance conversion, two best-so-far compares and two
-//! top-`p` selector offers. On the paper's workloads this is ~90% of
-//! end-to-end time. The walk processes `2W` **adjacent** diagonals per
-//! block (`j = i + k0 + c`, a pair of lane vectors — two vectors per row
-//! halve the fixed per-row costs per cell), and the block's column-side
-//! working state lives in *registers* that slide along with the rows
-//! instead of round-tripping through the structure-of-arrays each
-//! iteration:
+//! correlation conversion, two best-so-far tests and two top-`p`
+//! selector offers. On the paper's workloads this is ~90% of end-to-end
+//! time. The walk processes `2W` **adjacent** diagonals per block
+//! (`j = i + k0 + c`, a pair of lane vectors — two vectors per row halve
+//! the fixed per-row costs per cell), and the block's column-side offer
+//! state lives in *registers* that slide along with the rows instead of
+//! round-tripping through memory each iteration:
 //!
-//! * `col_d` / `col_j` — the running best (distance, candidate) of each
-//!   live column, folded under "(d asc, candidate asc)";
 //! * `col_thresh` — each live column's [`TopRhoSelector`] rejection
 //!   threshold, reloaded only on the rare offer that changes it;
 //! * `col_rej` — each live column's prefiltered-offer count (exact
 //!   integers in f64 lanes), credited in bulk at retirement.
 //!
 //! Advancing from row `i` to `i+1` slides the column window by one: lane
-//! 0 of the low vector (column `j0`) is *retired* — its best is folded
-//! into the SoA state, its threshold stored back, its rejected count
-//! credited to a deferred per-row array — the register pairs shift down
-//! one lane ([`F64Lanes::shift_concat`] across the pair,
-//! [`F64Lanes::shift_in_high`] at the top), and the entering column
-//! `j0+2W` is initialized from memory. Per row that leaves: two fused
-//! multiply-add vectors, two ρ/d conversions, a handful of compare/select
-//! folds, and a couple of scalar stores — no per-lane selector or SoA
-//! read-modify-writes, which at width 8 is what lifts the walk toward
-//! its div+sqrt throughput ceiling. Rejected-count credits are deferred into a flat per-row
-//! array and flushed through [`TopRhoSelector::count_rejected`] once per
-//! walk — exact, because the count only feeds the final truncation flag,
-//! never the threshold.
+//! 0 of the low vector (column `j0`) is *retired* — its threshold stored
+//! back, its rejected count credited to a deferred per-row array — the
+//! register pairs shift down one lane ([`F64Lanes::shift_concat`] across
+//! the pair, [`F64Lanes::shift_in_high`] at the top), and the entering
+//! column `j0+2W` is initialized from memory. Rejected-count credits are
+//! deferred into a flat per-row array and flushed through
+//! [`TopRhoSelector::count_rejected`] once per walk — exact, because the
+//! count only feeds the final truncation flag, never the threshold.
+//!
+//! # Bests in y-space
+//!
+//! A cell's distance is `d = sqrt(y)` with `y = max(2ℓ·(1−ρ), 0)`, and
+//! `d` only matters when it beats (or ties) a row's or column's best —
+//! which it almost never does. So the walk stops at `y` and compares it
+//! against a per-row mirror `ybound[i] = sq_ceiling(best_d[i])`, the
+//! largest double whose square root is `≤ best_d[i]` ([`sq_ceiling`]).
+//! IEEE `sqrt` is correctly rounded, hence monotone, so
+//! `y ≤ ybound[i] ⇔ sqrt(y) ≤ best_d[i]` holds exactly, ties included.
+//! Only a hit takes the square root and folds `(d, offset)` into the
+//! structure-of-arrays best under "(d asc, offset asc)"; every best
+//! update goes through one helper that refreshes the mirror. The row
+//! side tests one splat of `ybound[i]` against both vectors (the slow
+//! path is the horizontal min of the distances); the column side loads
+//! `ybound[j0 .. j0+2W]` straight from the mirror. Per row that leaves:
+//! two fused multiply-add vectors, two ρ/y conversions with one divide
+//! each and no square root, a handful of compare/select folds, and a
+//! couple of scalar stores — no per-lane selector or SoA
+//! read-modify-writes on the fast path.
 //!
 //! # Bit-identity
 //!
@@ -66,27 +78,37 @@
 //!    scalar path (the per-row hoists `ℓμᵢ`, `ℓσᵢ`, `2ℓ` keep the
 //!    original association order), evaluated in IEEE-754 double
 //!    precision either way — vector lanes round exactly like scalars,
-//!    and `mul_add` is a fused multiply-add on every path. In
-//!    particular, the recurrence's `qt − t_drop·t_drop_j` stays a
-//!    **mul-then-sub** (two roundings) everywhere: fusing it into an
-//!    `fnmadd` (one rounding) would be faster but would diverge from the
-//!    scalar tail cells, so it is deliberately split on all paths;
+//!    `sqrt` is correctly rounded in a lane and in a scalar alike, and
+//!    `mul_add` is a fused multiply-add on every path. In particular,
+//!    the recurrence's `qt − t_drop·t_drop_j` stays a **mul-then-sub**
+//!    (two roundings) everywhere: fusing it into an `fnmadd` (one
+//!    rounding) would be faster but would diverge from the scalar tail
+//!    cells, so it is deliberately split on all paths;
 //! 2. grouping cells into `W`-lane rows only changes the *order* in
 //!    which candidates reach the per-row reductions, and both reductions
 //!    are order-independent: the per-row best uses the total order
-//!    "(distance asc, neighbor offset asc)" — so folding it first in a
-//!    register and later into memory is the same lexicographic min — and
-//!    the selector's kept set is a pure function of the offered set
-//!    under "(ρ desc, offset asc)" (see [`crate::partial`]);
-//! 3. the prefilter only skips offers the selector is guaranteed to
+//!    "(distance asc, neighbor offset asc)" — a lexicographic min,
+//!    whichever cell reaches it first — and the selector's kept set is a
+//!    pure function of the offered set under "(ρ desc, offset asc)" (see
+//!    [`crate::partial`]);
+//! 3. the y-space test `y ≤ ybound` admits exactly the cells with
+//!    `d ≤ best_d` (the lemma above), so the fold sees every cell that
+//!    could change a best, ties included;
+//! 4. the prefilter only skips offers the selector is guaranteed to
 //!    reject, while keeping the offered count exact
 //!    ([`TopRhoSelector::count_rejected`]); a register-cached threshold
-//!    is never stale because, while a column is live in the window,
-//!    nothing else can touch its selector (live columns satisfy
-//!    `j ≥ i + first_diag > i`, and blocks run sequentially per worker);
-//! 4. the runtime-dispatched packed instantiations compile the *same
+//!    — and a column's `ybound` entry, which the column side reads and
+//!    writes in place — is never stale because, while a column is live
+//!    in the window, nothing else can touch its row's state (live
+//!    columns satisfy `j ≥ i + first_diag > i`, and blocks run
+//!    sequentially per worker);
+//! 5. the runtime-dispatched packed instantiations compile the *same
 //!    lane-generic Rust code* as the portable fallback — dispatch
 //!    selects an instruction encoding and a width, never an algorithm.
+//!
+//! The anytime tier's warm start ([`stage1_walk_listed`]) only seeds the
+//! thresholds and `ybound` from an already-merged state; why that leaves
+//! the merged state unchanged is argued there.
 //!
 //! The `kernel_differential` harness (`tests/kernel_differential.rs`)
 //! pins exactly this: every variant × thread count over adversarial
@@ -100,10 +122,10 @@
 //! intrinsic wrappers inside a `#[target_feature]` outer instantiation
 //! per backend, so they compile to bare `vfmadd132pd` / `vdivpd` /
 //! `vsqrtpd` / `vmaxpd` / `vminpd` on ymm/zmm registers (verified with
-//! `objdump -d`; LLVM does not SLP-pack the divide/sqrt chain on its
-//! own under generic tuning, which is why the lanes are explicit). The
-//! branchy steps (row-side offers, retirement, tails) stay shared scalar
-//! code. Scalar `mul_add` on non-FMA hardware lowers to a libm `fma`
+//! `objdump -d`; LLVM does not SLP-pack the divide chain on its own
+//! under generic tuning, which is why the lanes are explicit). The
+//! branchy steps (row-side offers, best hits, retirement, tails) stay
+//! shared scalar code. Scalar `mul_add` on non-FMA hardware lowers to a libm `fma`
 //! call — slower, but bit-identical, and no slower than the pre-kernel
 //! engine, which used `mul_add` per cell already.
 
@@ -161,8 +183,9 @@ impl Stage1Part {
 /// profile entries store `u32` offsets already), so this is a hard assert
 /// rather than a debug one: a ≥ 2^32-window series must fail loudly, not
 /// silently wrap offsets in release builds. The check is one predictable
-/// compare per row batch / remainder cell — noise next to the sqrt and
-/// divides it sits behind.
+/// compare per best hit — noise next to the square root and fold it
+/// guards (and every row's first cell is a hit, so an oversized series
+/// still trips it at once).
 #[inline]
 #[allow(clippy::cast_possible_truncation)]
 pub(crate) fn idx32(j: usize) -> u32 {
@@ -170,11 +193,32 @@ pub(crate) fn idx32(j: usize) -> u32 {
     j as u32
 }
 
-/// The `best_j` sentinel as an f64 lane value (`u32::MAX`, exactly
-/// representable). Register column bests store candidate offsets as
-/// doubles — integers below 2^53 are exact, and `m < u32::MAX` by the
-/// [`idx32`] contract.
-const NO_BEST: f64 = u32::MAX as f64;
+/// The y-space ceiling of a best distance: the largest double `y` with
+/// `sqrt(y) ≤ d`. IEEE `sqrt` is correctly rounded, hence monotone, so
+/// for every `y ≥ 0`
+///
+/// ```text
+/// y ≤ sq_ceiling(d)  ⇔  sqrt(y) ≤ d
+/// ```
+///
+/// holds exactly, ties included — the kernel tests cells against this
+/// bound and takes the square root only on a hit. `d*d` lands within an
+/// ulp of the true square, so the two stepping loops run at most a few
+/// iterations (each `d` has at most three `y` preimages under `sqrt`).
+#[inline]
+pub(crate) fn sq_ceiling(d: f64) -> f64 {
+    if d == f64::INFINITY {
+        return f64::INFINITY;
+    }
+    let mut y = d * d;
+    while y.sqrt() > d {
+        y = y.next_down();
+    }
+    while y.next_up().sqrt() <= d {
+        y = y.next_up();
+    }
+    y
+}
 
 /// `clamp(raw, −1, 1)` with the exact select semantics of the packed
 /// `vmaxpd`/`vminpd` pair: `max(a, b) = if a > b { a } else { b }`, then
@@ -213,15 +257,83 @@ struct Ctx<'a> {
     two_lf: f64,
 }
 
-/// Mutable per-worker state: the output part, the selector rejection
-/// thresholds mirrored as a flat array the prefilter can load cheaply,
-/// and the deferred rejected-offer credits (flushed into the selectors
-/// once per walk — the count only feeds the truncation flag, so timing
-/// is irrelevant).
+impl<'a> Ctx<'a> {
+    fn new(engine: &'a StompEngine) -> Self {
+        let l = engine.window();
+        let lf = l as f64;
+        Self {
+            t: engine.values(),
+            first_row: engine.first_row(),
+            means: engine.means(),
+            stds: engine.stds(),
+            l,
+            m: engine.num_windows(),
+            lf,
+            two_lf: 2.0 * lf,
+        }
+    }
+}
+
+/// Mutable per-worker state: the output part, two flat per-row mirrors
+/// the fast paths load instead of touching the part — the selector
+/// rejection thresholds (`thresh`) and the y-space best bounds
+/// (`ybound[i] = sq_ceiling(best_d[i])`) — plus the warm-start threshold
+/// floor and the deferred rejected-offer credits (flushed into the
+/// selectors once per walk — the count only feeds the truncation flag,
+/// so timing is irrelevant).
 struct WalkState {
     part: Stage1Part,
     thresh: Vec<f64>,
+    /// Per-row lower limit of `thresh`: the merged threshold of the
+    /// earlier anytime rounds (`NEG_INFINITY` on a cold walk).
+    floor: Vec<f64>,
+    ybound: Vec<f64>,
     rej: Vec<u64>,
+}
+
+impl WalkState {
+    /// Fresh state for `m` rows; `warm` seeds the thresholds (and their
+    /// floor) and the y-space bounds from an already-merged accumulator,
+    /// so the walk skips what that state rejects anyway (see
+    /// [`stage1_walk_listed`] for why this is exact).
+    fn new(m: usize, profile_size: usize, warm: Option<&Stage1Part>) -> Self {
+        let (floor, ybound) = match warm {
+            Some(acc) => (
+                acc.selectors.iter().map(TopRhoSelector::threshold).collect(),
+                acc.best_d.iter().map(|&d| sq_ceiling(d)).collect(),
+            ),
+            None => (vec![f64::NEG_INFINITY; m], vec![f64::INFINITY; m]),
+        };
+        Self {
+            part: Stage1Part::new(m, profile_size),
+            thresh: floor.clone(),
+            floor,
+            ybound,
+            rej: vec![0; m],
+        }
+    }
+
+    /// The single best update of the walk: folds `(d, cand)` into row
+    /// `row`'s best under "(d asc, candidate asc)" and refreshes the
+    /// row's y-space bound. Callers reach it only on a y-space hit.
+    #[inline(always)]
+    fn fold_best(&mut self, row: usize, d: f64, cand: u32) {
+        let part = &mut self.part;
+        if d < part.best_d[row] || (d == part.best_d[row] && cand < part.best_j[row]) {
+            part.best_d[row] = d;
+            part.best_j[row] = cand;
+            self.ybound[row] = sq_ceiling(d);
+        }
+    }
+
+    /// Offers candidate `cand` to row `row`'s selector and returns the
+    /// row's new cached threshold — never below the warm-start floor.
+    #[inline(always)]
+    fn offer(&mut self, row: usize, cand: usize, rho: f64, qt: f64) -> f64 {
+        let selector = &mut self.part.selectors[row];
+        selector.offer(cand, rho, qt);
+        selector.threshold().max(self.floor[row])
+    }
 }
 
 /// Walks this worker's share of the upper-triangle diagonals at the base
@@ -248,24 +360,9 @@ pub(crate) fn stage1_walk(
     level: SimdLevel,
 ) -> Stage1Part {
     let _walk_span = obs::span("stage1_walk", obs::Layer::Kernel);
-    let m = engine.num_windows();
-    let l = engine.window();
-    let lf = l as f64;
-    let ctx = Ctx {
-        t: engine.values(),
-        first_row: engine.first_row(),
-        means: engine.means(),
-        stds: engine.stds(),
-        l,
-        m,
-        lf,
-        two_lf: 2.0 * lf,
-    };
-    let mut state = WalkState {
-        part: Stage1Part::new(m, profile_size),
-        thresh: vec![f64::NEG_INFINITY; m],
-        rej: vec![0; m],
-    };
+    let ctx = Ctx::new(engine);
+    let m = ctx.m;
+    let mut state = WalkState::new(m, profile_size, None);
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 => {
@@ -311,6 +408,21 @@ pub(crate) fn stage1_walk(
 /// the cells; order within the list is irrelevant to the merged result
 /// (see the module docs) and only shapes preview timing.
 ///
+/// `warm` is the merged state of the cells walked before (disjoint from
+/// `blocks`) that the returned part will be absorbed into. The walk
+/// starts from its thresholds and bests instead of from scratch, which
+/// changes what the *part* holds but never what `warm.absorb(part)`
+/// yields:
+///
+/// * an offer with `ρ` strictly below `warm`'s threshold for its row
+///   ranks below `warm`'s `p` kept entries, so it cannot enter the
+///   merged top-`p`; skipping it through
+///   [`TopRhoSelector::count_rejected`] keeps the offered count, and
+///   with it the truncation flag, exact;
+/// * a cell with `d` above `warm`'s best for its row cannot win the
+///   merged "(d asc, j asc)" min; every `d` equal to it still reaches
+///   the fold, so ties resolve by offset as before.
+///
 /// Same caller contract as [`stage1_walk`]: no flat window at this
 /// length.
 pub(crate) fn stage1_walk_listed(
@@ -318,26 +430,12 @@ pub(crate) fn stage1_walk_listed(
     blocks: &[usize],
     profile_size: usize,
     level: SimdLevel,
+    warm: Option<&Stage1Part>,
 ) -> Stage1Part {
     let _walk_span = obs::span("stage1_walk", obs::Layer::Kernel);
-    let m = engine.num_windows();
-    let l = engine.window();
-    let lf = l as f64;
-    let ctx = Ctx {
-        t: engine.values(),
-        first_row: engine.first_row(),
-        means: engine.means(),
-        stds: engine.stds(),
-        l,
-        m,
-        lf,
-        two_lf: 2.0 * lf,
-    };
-    let mut state = WalkState {
-        part: Stage1Part::new(m, profile_size),
-        thresh: vec![f64::NEG_INFINITY; m],
-        rej: vec![0; m],
-    };
+    let ctx = Ctx::new(engine);
+    let m = ctx.m;
+    let mut state = WalkState::new(m, profile_size, warm);
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 => {
@@ -524,11 +622,10 @@ fn walk_lanes_listed<const W: usize, B: F64Lanes<W>>(
 /// checks, scalar stores) per cell relative to a single-vector tile,
 /// while the per-cell math is width-independent.
 ///
-/// The column-side working state (`col_*` register pairs) slides with the
-/// rows — see the module docs for the retirement discipline and the
-/// exactness argument.
+/// The column-side offer state (`col_*` register pairs) slides with the
+/// rows; the bests live in y-space behind the `ybound` mirror — see the
+/// module docs for the retirement discipline and the exactness argument.
 #[inline(always)]
-#[allow(clippy::too_many_lines)]
 fn process_block<const W: usize, B: F64Lanes<W>>(
     b: B,
     ctx: &Ctx<'_>,
@@ -547,10 +644,6 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
     let mut qt_lo = b.load(&ctx.first_row[k0..]);
     let mut qt_hi = b.load(&ctx.first_row[km..]);
     // Column-side register pairs for the live columns `j0 .. j0 + 2W`.
-    let mut cd_lo = b.splat(f64::INFINITY);
-    let mut cd_hi = b.splat(f64::INFINITY);
-    let mut cj_lo = b.splat(NO_BEST);
-    let mut cj_hi = b.splat(NO_BEST);
     let mut ct_lo = b.load(&state.thresh[k0..]);
     let mut ct_hi = b.load(&state.thresh[km..]);
     let mut cr_lo = zero;
@@ -576,51 +669,47 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
             qt_hi = b.mul_add(head, b.load(&t[jm + l - 1..]), b.sub(qt_hi, dropped_hi));
         }
 
-        // ρ = clamp((qt − ℓμᵢ·μⱼ) / (ℓσᵢ·σⱼ)), d = sqrt(max(2ℓ·(1−ρ), 0))
-        // — the scalar expression tree per lane; hoists preserve the
+        // ρ = clamp((qt − ℓμᵢ·μⱼ) / (ℓσᵢ·σⱼ)), y = max(2ℓ·(1−ρ), 0) — the
+        // scalar expression tree per lane, up to the distance's square
+        // root, which only a best hit takes; hoists preserve the
         // association ℓμᵢμⱼ = (ℓμᵢ)·μⱼ and ℓσᵢσⱼ = (ℓσᵢ)·σⱼ.
         let av = b.splat(ctx.lf * ctx.means[i]);
         let sv = b.splat(ctx.lf * ctx.stds[i]);
         let num_lo = b.sub(qt_lo, b.mul(av, b.load(&ctx.means[j0..])));
         let den_lo = b.mul(sv, b.load(&ctx.stds[j0..]));
         let rho_lo = b.min(b.max(b.div(num_lo, den_lo), neg_one), one);
-        let d_lo = b.sqrt(b.max(b.mul(two_lf, b.sub(one, rho_lo)), zero));
+        let y_lo = b.max(b.mul(two_lf, b.sub(one, rho_lo)), zero);
         let num_hi = b.sub(qt_hi, b.mul(av, b.load(&ctx.means[jm..])));
         let den_hi = b.mul(sv, b.load(&ctx.stds[jm..]));
         let rho_hi = b.min(b.max(b.div(num_hi, den_hi), neg_one), one);
-        let d_hi = b.sqrt(b.max(b.mul(two_lf, b.sub(one, rho_hi)), zero));
+        let y_hi = b.max(b.mul(two_lf, b.sub(one, rho_hi)), zero);
 
-        let part = &mut state.part;
-        // Per-row best for row i. Fast path: unless some lane is ≤ the
-        // running best, the fold cannot change anything and the whole
-        // reduction is skipped (the common case once the best warms up).
-        // Slow path: horizontal min under "(d asc, j asc)" — the first
-        // lane attaining the min across the concatenated pair is the
-        // smallest j — folded into the running best under the same order.
-        // `d` is never NaN (ρ is clamped first), so the quiet ≤ is exact.
-        let cur_bd = part.best_d[i];
-        let curv = b.splat(cur_bd);
-        if (b.mask_bits(b.ge(curv, d_lo)) | b.mask_bits(b.ge(curv, d_hi))) != 0 {
+        // Per-row best for row i. Fast path: unless some lane's y is ≤
+        // the row's y-space bound (⇔ its distance is ≤ the running best),
+        // the fold cannot change anything and the whole reduction is
+        // skipped (the common case once the best warms up). Slow path:
+        // the distances, then the horizontal min under "(d asc, j asc)" —
+        // the first lane attaining the min across the concatenated pair
+        // is the smallest j — folded into the running best. `y` is never
+        // NaN (ρ is clamped first), so the quiet ≤ is exact.
+        let ybv = b.splat(state.ybound[i]);
+        if (b.mask_bits(b.ge(ybv, y_lo)) | b.mask_bits(b.ge(ybv, y_hi))) != 0 {
+            let (d_lo, d_hi) = (b.sqrt(y_lo), b.sqrt(y_hi));
             let bd = b.hmin(b.min(d_lo, d_hi));
             let bdv = b.splat(bd);
             let eq_bits = b.mask_bits(b.eq(d_lo, bdv)) | (b.mask_bits(b.eq(d_hi, bdv)) << W);
             let bc = eq_bits.trailing_zeros() as usize;
-            let bj = idx32(j0 + bc);
-            if bd < cur_bd || (bd == cur_bd && bj < part.best_j[i]) {
-                part.best_d[i] = bd;
-                part.best_j[i] = bj;
-            }
+            state.fold_best(i, bd, idx32(j0 + bc));
         }
 
-        // Column bests (candidate i into columns j0..j0+2W): lexicographic
-        // min fold in registers under "(d asc, candidate asc)".
-        let iv = b.splat(i as f64);
-        let take_lo = b.mask_or(b.lt(d_lo, cd_lo), b.mask_and(b.eq(d_lo, cd_lo), b.lt(iv, cj_lo)));
-        cd_lo = b.select(take_lo, d_lo, cd_lo);
-        cj_lo = b.select(take_lo, iv, cj_lo);
-        let take_hi = b.mask_or(b.lt(d_hi, cd_hi), b.mask_and(b.eq(d_hi, cd_hi), b.lt(iv, cj_hi)));
-        cd_hi = b.select(take_hi, d_hi, cd_hi);
-        cj_hi = b.select(take_hi, iv, cj_hi);
+        // Column bests (candidate i into columns j0..j0+2W): the same
+        // y-space test against the columns' bounds, straight from the
+        // mirror — only hit lanes take a square root and a fold.
+        let col_hits = b.mask_bits(b.ge(b.load(&state.ybound[j0..]), y_lo))
+            | (b.mask_bits(b.ge(b.load(&state.ybound[jm..]), y_hi)) << W);
+        if col_hits != 0 {
+            col_side_bests(b, y_lo, y_hi, col_hits, i, j0, state);
+        }
 
         // Row-side offers: candidates j0..j0+2W into row i's selector.
         // One lane compare per half against the row threshold prefilters
@@ -640,8 +729,7 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
                     if rho_a[c] < t_i {
                         state.rej[i] += 1;
                     } else {
-                        part.selectors[i].offer(j0 + h * W + c, rho_a[c], qt_a[c]);
-                        t_i = part.selectors[i].threshold();
+                        t_i = state.offer(i, j0 + h * W + c, rho_a[c], qt_a[c]);
                     }
                 }
             }
@@ -658,13 +746,9 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
 
         if i + 1 < full_rows {
             // Slide the column window: retire lane 0 (column j0 gets no
-            // further updates from this tile), shift the pair one lane,
+            // further offers from this tile), shift the pair one lane,
             // admit column j0+2W at the top.
-            retire_lane0(b, cd_lo, cj_lo, ct_lo, cr_lo, j0, state);
-            cd_lo = b.shift_concat(cd_lo, cd_hi);
-            cd_hi = b.shift_in_high(cd_hi, f64::INFINITY);
-            cj_lo = b.shift_concat(cj_lo, cj_hi);
-            cj_hi = b.shift_in_high(cj_hi, NO_BEST);
+            retire_column(j0, b.extract0(ct_lo), b.extract0(cr_lo), state);
             ct_lo = b.shift_concat(ct_lo, ct_hi);
             ct_hi = b.shift_in_high(ct_hi, state.thresh[j0 + tile]);
             cr_lo = b.shift_concat(cr_lo, cr_hi);
@@ -672,13 +756,10 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
         } else {
             // Last full row: retire every live column before the scalar
             // tails touch the shared state.
-            for (h, (cd, cj, th, cr)) in
-                [(cd_lo, cj_lo, ct_lo, cr_lo), (cd_hi, cj_hi, ct_hi, cr_hi)].into_iter().enumerate()
-            {
-                let (cd, cj) = (b.to_array(cd), b.to_array(cj));
+            for (h, (th, cr)) in [(ct_lo, cr_lo), (ct_hi, cr_hi)].into_iter().enumerate() {
                 let (th, cr) = (b.to_array(th), b.to_array(cr));
                 for c in 0..W {
-                    retire_column(j0 + h * W + c, cd[c], cj[c], th[c], cr[c], state);
+                    retire_column(j0 + h * W + c, th[c], cr[c], state);
                 }
             }
         }
@@ -691,6 +772,32 @@ fn process_block<const W: usize, B: F64Lanes<W>>(
     for c in 0..tile - 1 {
         let qt_c = if c < W { qt_a_lo[c] } else { qt_a_hi[c - W] };
         tail_scalar(ctx, k0 + c, full_rows, qt_c, state);
+    }
+}
+
+/// The column-best slow path: each lane set in `hits` (bit `c` =
+/// column `j0 + c` across the concatenated pair) has its `y` within its
+/// column's y-space bound and folds `(sqrt(y), i)` into that column's
+/// best. Reading and writing the mirror directly is safe for the same
+/// reason the cached thresholds are: while column `j` is live in the
+/// window, nothing else writes it.
+#[inline(always)]
+fn col_side_bests<const W: usize, B: F64Lanes<W>>(
+    b: B,
+    y_lo: B::V,
+    y_hi: B::V,
+    mut hits: u32,
+    i: usize,
+    j0: usize,
+    state: &mut WalkState,
+) {
+    let (y_lo, y_hi) = (b.to_array(y_lo), b.to_array(y_hi));
+    let iu = idx32(i);
+    while hits != 0 {
+        let c = hits.trailing_zeros() as usize;
+        hits &= hits - 1;
+        let y = if c < W { y_lo[c] } else { y_hi[c - W] };
+        state.fold_best(j0 + c, y.sqrt(), iu);
     }
 }
 
@@ -724,50 +831,17 @@ fn col_side_offers<const W: usize, B: F64Lanes<W>>(
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let j = j0 + c;
-            state.part.selectors[j].offer(i, rho_a[c], qt_a[c]);
-            th_a[c] = state.part.selectors[j].threshold();
+            th_a[c] = state.offer(j0 + c, i, rho_a[c], qt_a[c]);
         }
         col_thresh = b.pack(th_a);
     }
     (col_thresh, col_rej)
 }
 
-/// Retires register lane 0 of the sliding column window into the SoA
-/// state for column `j0`.
+/// Stores one retired column's register state back: threshold written
+/// verbatim, rejected count credited to the deferred array.
 #[inline(always)]
-fn retire_lane0<const W: usize, B: F64Lanes<W>>(
-    b: B,
-    col_d: B::V,
-    col_j: B::V,
-    col_thresh: B::V,
-    col_rej: B::V,
-    j0: usize,
-    state: &mut WalkState,
-) {
-    retire_column(
-        j0,
-        b.extract0(col_d),
-        b.extract0(col_j),
-        b.extract0(col_thresh),
-        b.extract0(col_rej),
-        state,
-    );
-}
-
-/// Folds one retired column's register state into the SoA state: best
-/// under "(d asc, candidate asc)" (the sentinel `(∞, u32::MAX)` never
-/// wins), threshold written back verbatim, rejected count credited to
-/// the deferred array.
-#[inline(always)]
-fn retire_column(j: usize, cd: f64, cj: f64, th: f64, cr: f64, state: &mut WalkState) {
-    let part = &mut state.part;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let cju = cj as u32;
-    if cd < part.best_d[j] || (cd == part.best_d[j] && cju < part.best_j[j]) {
-        part.best_d[j] = cd;
-        part.best_j[j] = cju;
-    }
+fn retire_column(j: usize, th: f64, cr: f64, state: &mut WalkState) {
     state.thresh[j] = th;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     {
@@ -788,38 +862,31 @@ fn tail_scalar(ctx: &Ctx<'_>, k: usize, start_i: usize, mut qt: f64, state: &mut
 }
 
 /// One scalar cell `(i, j)` — the remainder path. Bit-identical to a lane
-/// of the tiled rows: same expression tree, same total orders, same
-/// prefilter contract (credits go to the same deferred array).
+/// of the tiled rows: same expression tree, same y-space best test, same
+/// total orders, same prefilter contract (credits go to the same
+/// deferred array).
 #[inline(always)]
 fn process_cell(ctx: &Ctx<'_>, i: usize, j: usize, qt: f64, state: &mut WalkState) {
     let rho = clamp_rho(
         (qt - ctx.lf * ctx.means[i] * ctx.means[j]) / (ctx.lf * ctx.stds[i] * ctx.stds[j]),
     );
-    let d = (ctx.two_lf * (1.0 - rho)).max(0.0).sqrt();
-
-    let part = &mut state.part;
-    let ju = idx32(j);
-    if d < part.best_d[i] || (d == part.best_d[i] && ju < part.best_j[i]) {
-        part.best_d[i] = d;
-        part.best_j[i] = ju;
+    let y = (ctx.two_lf * (1.0 - rho)).max(0.0);
+    if y <= state.ybound[i] {
+        state.fold_best(i, y.sqrt(), idx32(j));
     }
-    let iu = idx32(i);
-    if d < part.best_d[j] || (d == part.best_d[j] && iu < part.best_j[j]) {
-        part.best_d[j] = d;
-        part.best_j[j] = iu;
+    if y <= state.ybound[j] {
+        state.fold_best(j, y.sqrt(), idx32(i));
     }
 
     if rho < state.thresh[i] {
         state.rej[i] += 1;
     } else {
-        part.selectors[i].offer(j, rho, qt);
-        state.thresh[i] = part.selectors[i].threshold();
+        state.thresh[i] = state.offer(i, j, rho, qt);
     }
     if rho < state.thresh[j] {
         state.rej[j] += 1;
     } else {
-        part.selectors[j].offer(i, rho, qt);
-        state.thresh[j] = part.selectors[j].threshold();
+        state.thresh[j] = state.offer(j, i, rho, qt);
     }
 }
 
@@ -1291,7 +1358,7 @@ unsafe fn dots_append_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::test_levels;
+    use crate::testkit::{part_snapshot, test_levels};
     use valmod_series::gen;
 
     /// The pre-kernel scalar reference: the closure-based diagonal walk
@@ -1367,6 +1434,7 @@ mod tests {
             (gen::random_walk(400, 11), 16usize),
             (gen::ecg(500, &gen::EcgConfig::default(), 5), 32),
             (gen::sine_mix(300, &[(30.0, 1.0)], 0.05, 9), 12),
+            (repeated(360, 9, 4), 20),
         ] {
             let engine = StompEngine::new(&series, l).unwrap();
             assert!(!engine.has_flat_windows(), "kernel contract");
@@ -1414,6 +1482,125 @@ mod tests {
                         (m - first_diag) % (2 * level.width())
                     );
                 }
+            }
+        }
+    }
+
+    /// An exactly periodic series (a `period`-point random-walk pattern
+    /// tiled end to end): windows a period apart are bit-identical, so
+    /// many distinct `y` share one square root and equal-distance ties
+    /// meet across tile seams.
+    fn repeated(n: usize, period: usize, seed: u64) -> Vec<f64> {
+        let pattern = gen::random_walk(period, seed);
+        (0..n).map(|i| pattern[i % period]).collect()
+    }
+
+    /// The y-space lemma behind the kernel's best tests: for every
+    /// `y ≥ 0`, `y ≤ sq_ceiling(d)` exactly when `sqrt(y) ≤ d` — checked
+    /// at the ceiling itself and its neighbors, on the edge distances
+    /// (zero, the square root of the smallest subnormal, one, the
+    /// largest z-normalized distance `sqrt(4ℓ)`, infinity) and a seeded
+    /// sweep of distances that are themselves square roots.
+    #[test]
+    fn sq_ceiling_decides_exactly_like_the_square_root() {
+        let check = |d: f64| {
+            let c = sq_ceiling(d);
+            assert!(c.sqrt() <= d, "ceiling {c:e} of {d:e} overshoots");
+            for y in [c.next_down(), c, c.next_up()] {
+                if y >= 0.0 {
+                    assert_eq!(y <= c, y.sqrt() <= d, "lemma fails at y = {y:e}, d = {d:e}");
+                }
+            }
+        };
+        for l in [8.0f64, 64.0, 1000.0] {
+            check((4.0 * l).sqrt());
+        }
+        for d in [0.0, f64::from_bits(1).sqrt(), 1.0, f64::INFINITY] {
+            check(d);
+        }
+        let mut state = 0x5eed_u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // y' spread over [0, 256): the distances of ℓ ≤ 64 windows.
+            let y = (state >> 11) as f64 / (1u64 << 53) as f64 * 256.0;
+            check(y.sqrt());
+            check(y.sqrt().next_up());
+        }
+    }
+
+    /// Absorbs `rounds` into a fresh accumulator the way the anytime
+    /// scheduler does, each round split across two workers at `cuts[r]`
+    /// and walked warm from the pre-round accumulator, or cold.
+    fn accumulate(
+        engine: &StompEngine,
+        rounds: &[&[usize]],
+        cuts: &[usize],
+        p: usize,
+        level: SimdLevel,
+        warm: bool,
+    ) -> Stage1Part {
+        let mut acc = Stage1Part::new(engine.num_windows(), p);
+        for (round, &cut) in rounds.iter().zip(cuts) {
+            let (a, b) = round.split_at(cut);
+            let parts: Vec<Stage1Part> = [a, b]
+                .iter()
+                .map(|share| stage1_walk_listed(engine, share, p, level, warm.then_some(&acc)))
+                .collect();
+            for part in &parts {
+                acc.absorb(part);
+            }
+        }
+        acc
+    }
+
+    /// Warm start is exact: over random block lists split into rounds,
+    /// absorbing each round's walks started warm from the accumulator
+    /// gives byte-identical selectors and bests to absorbing the same
+    /// rounds walked cold — after every round, not just the last — and
+    /// the settled state equals the eager walk's.
+    #[test]
+    fn warm_rounds_absorb_to_the_cold_state() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for (series, l, p) in [
+            (gen::random_walk(420, 21), 12usize, 3usize),
+            (gen::ecg(500, &gen::EcgConfig::default(), 8), 24, 5),
+            (repeated(400, 7, 2), 16, 4),
+        ] {
+            let engine = StompEngine::new(&series, l).unwrap();
+            let m = engine.num_windows();
+            let first_diag = l.div_ceil(4) + 1;
+            for level in test_levels() {
+                let tile = 2 * level.width();
+                let mut blocks: Vec<usize> = (first_diag..m).step_by(tile).collect();
+                for i in (1..blocks.len()).rev() {
+                    blocks.swap(i, next(i + 1));
+                }
+                let chunk = blocks.len().div_ceil(2 + next(4));
+                let rounds: Vec<&[usize]> = blocks.chunks(chunk).collect();
+                let cuts: Vec<usize> = rounds.iter().map(|r| next(r.len() + 1)).collect();
+                for upto in 1..=rounds.len() {
+                    let (rounds, cuts) = (&rounds[..upto], &cuts[..upto]);
+                    assert_eq!(
+                        part_snapshot(accumulate(&engine, rounds, cuts, p, level, true), l),
+                        part_snapshot(accumulate(&engine, rounds, cuts, p, level, false), l),
+                        "warm and cold diverged after round {upto} at l={l}, {level:?}"
+                    );
+                }
+                let settled = accumulate(&engine, &rounds, &cuts, p, level, true);
+                let eager = stage1_walk(&engine, first_diag, 0, 1, p, level);
+                assert_eq!(
+                    part_snapshot(settled, l),
+                    part_snapshot(eager, l),
+                    "settled warm state differs from the eager walk at l={l}, {level:?}"
+                );
             }
         }
     }

@@ -86,29 +86,27 @@ pub fn stage1_snapshot(
         !engine.has_flat_windows(),
         "flat windows bypass the kernel; difference them via output_checksum"
     );
-    let mut parts: Vec<kernel::Stage1Part> = (0..num_workers)
-        .map(|w| kernel::stage1_walk(&engine, first_diag, w, num_workers, profile_size, level))
-        .collect();
-    let rest = parts.split_off(1);
-    let first = parts.pop().expect("at least one worker");
-    let mut out = Vec::with_capacity(first.best_d.len());
-    for (i, (mut selector, (mut bd, mut bj))) in
-        first.selectors.into_iter().zip(first.best_d.into_iter().zip(first.best_j)).enumerate()
-    {
-        for part in &rest {
-            selector.absorb(&part.selectors[i]);
-            let (cd, cj) = (part.best_d[i], part.best_j[i]);
-            if cd < bd || (cd == bd && cj < bj) {
-                bd = cd;
-                bj = cj;
-            }
-        }
-        let row = selector.into_row(l);
-        let entries =
-            row.entries.iter().map(|e| (e.j, e.rho_base.to_bits(), e.qt.to_bits())).collect();
-        out.push((bd.to_bits(), bj, row.truncated, entries));
+    let mut parts = (0..num_workers)
+        .map(|w| kernel::stage1_walk(&engine, first_diag, w, num_workers, profile_size, level));
+    let mut merged = parts.next().expect("at least one worker");
+    for part in parts {
+        merged.absorb(&part);
     }
-    out
+    part_snapshot(merged, l)
+}
+
+/// The byte-level per-row state of one (merged) stage-1 part, consumed.
+pub(crate) fn part_snapshot(part: kernel::Stage1Part, base_len: usize) -> Vec<RowSnapshot> {
+    part.selectors
+        .into_iter()
+        .zip(part.best_d.into_iter().zip(part.best_j))
+        .map(|(selector, (d, j))| {
+            let row = selector.into_row(base_len);
+            let entries =
+                row.entries.iter().map(|e| (e.j, e.rho_base.to_bits(), e.qt.to_bits())).collect();
+            (d.to_bits(), j, row.truncated, entries)
+        })
+        .collect()
 }
 
 /// Whether the series has a flat (σ ≈ 0) window at `l` — or is rejected

@@ -12,8 +12,9 @@
 //! generator produces, and the in-crate `kernel` tests additionally pin
 //! all of this against the pre-kernel closure-based scalar walk.
 //!
-//! Adversarial shapes covered: planted motifs (selector churn), ±0.0
-//! runs (sign-sensitive bit comparisons), overflow-scale values whose
+//! Adversarial shapes covered: planted motifs (selector churn), exactly
+//! repeated windows (distinct `y` sharing one square root, equal-distance
+//! ties across tile seams), ±0.0 runs (sign-sensitive bit comparisons), overflow-scale values whose
 //! dot products reach ±∞ and whose correlations go NaN (stage-1 only —
 //! the NaN-clamp convention is the kernel's, see `kernel::clamp_rho`),
 //! flat windows (kernel bypass, differenced end-to-end), and series
@@ -41,10 +42,11 @@ fn cases(default_n: u32) -> u32 {
 /// and optionally overflow-scale spikes (`1e150`, whose ℓ-term dot
 /// products overflow to ±∞ and whose correlations divide to NaN).
 fn adversarial(kind: usize, n: usize, seed: u64, spikes: bool) -> Vec<f64> {
-    let mut v = match kind % 3 {
+    let mut v = match kind % 4 {
         0 => gen::random_walk(n, seed),
         1 => gen::ecg(n, &gen::EcgConfig::default(), seed),
-        _ => gen::sine_mix(n, &[(n as f64 / 7.0, 1.0), (n as f64 / 3.0, 0.4)], 0.05, seed),
+        2 => gen::sine_mix(n, &[(n as f64 / 7.0, 1.0), (n as f64 / 3.0, 0.4)], 0.05, seed),
+        _ => repeated(n, seed),
     };
     // Plant an exact motif pair (identical windows far apart).
     let w = 8 + (seed as usize) % 9;
@@ -68,6 +70,19 @@ fn adversarial(kind: usize, n: usize, seed: u64, spikes: bool) -> Vec<f64> {
     v
 }
 
+/// An exactly periodic series: one short random-walk pattern tiled end
+/// to end, so windows a whole period apart are bit-identical. Their
+/// correlations round to many distinct `y = 2ℓ(1−ρ)` values that share
+/// one square root, and equal-distance ties land on many diagonals at
+/// once — across register-tile seams and worker partitions — which is
+/// where the kernel's y-space best test and its "(d asc, offset asc)"
+/// tie-break must agree with the scalar walk.
+fn repeated(n: usize, seed: u64) -> Vec<f64> {
+    let period = 5 + (seed as usize) % 11;
+    let pattern = gen::random_walk(period, seed);
+    (0..n).map(|i| pattern[i % period]).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
@@ -77,7 +92,7 @@ proptest! {
     /// series including NaN-correlation spikes and ragged tile tails.
     #[test]
     fn stage1_state_is_byte_equal_across_variants(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n in 150usize..400,
         seed in 0u64..1_000_000,
         spikes_bit in 0u64..2,
@@ -115,7 +130,7 @@ proptest! {
     /// stage-1 snapshot cannot.
     #[test]
     fn end_to_end_checksum_is_lane_invariant(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n in 200usize..400,
         seed in 0u64..1_000_000,
         flat_bit in 0u64..2,

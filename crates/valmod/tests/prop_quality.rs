@@ -78,6 +78,7 @@ proptest! {
 
         for level in test_levels() {
             let _guard = force_level(level);
+            let mut one_thread_previews = Vec::new();
             for threads in [1usize, 3] {
                 let anytime_config = Query::from_config(config.clone())
                     .threads(threads)
@@ -114,6 +115,26 @@ proptest! {
                     level, threads, order_seed
                 );
                 prop_assert!((previews[0].3 - 1.0).abs() < 1e-12, "first churn is 1.0");
+                // Every round, not just the settled one, is a pure
+                // function of the blocks retired so far: each worker
+                // starts warm from the merged state of the earlier
+                // rounds, and how the round's blocks are split across
+                // workers must not show in any preview — retired cells,
+                // churn, or VALMAP bits (so neither does the first
+                // preview's agreement with the exact base).
+                let preview_bits: Vec<_> = previews
+                    .iter()
+                    .map(|p| (p.0, p.1, p.2, p.3.to_bits(), p.4.clone()))
+                    .collect();
+                if threads == 1 {
+                    one_thread_previews = preview_bits;
+                } else {
+                    prop_assert!(
+                        preview_bits == one_thread_previews,
+                        "previews depend on the worker split (level {:?}, seed {})",
+                        level, order_seed
+                    );
+                }
             }
         }
     }
